@@ -318,12 +318,33 @@ func main() {
 	}
 }
 
+// Timeouts of the HTTP front door. A client gets httpReadHeaderTimeout to
+// send its request line and headers and httpReadTimeout to send the whole
+// request, so a stalled or trickling client cannot pin a connection and its
+// goroutine; an idle keep-alive connection closes after httpIdleTimeout.
+const (
+	httpReadHeaderTimeout = 5 * time.Second
+	httpReadTimeout       = 10 * time.Second
+	httpIdleTimeout       = 60 * time.Second
+)
+
+// newHTTPServer builds the front-door server for h on addr.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: httpReadHeaderTimeout,
+		ReadTimeout:       httpReadTimeout,
+		IdleTimeout:       httpIdleTimeout,
+	}
+}
+
 // serveHTTP replaces the demo loop with the network front door: serve real
 // sockets until SIGINT/SIGTERM, then shut down gracefully — stop admitting
 // (new requests get 503), let the HTTP server finish in-flight exchanges, and
 // stop the serving system, all against the -drain deadline.
 func serveHTTP(sys *loki.MultiSystem, addr string, monitor, drainDeadline time.Duration, traceOut string) {
-	srv := &http.Server{Addr: addr, Handler: sys}
+	srv := newHTTPServer(addr, sys)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

@@ -15,9 +15,9 @@ import (
 )
 
 // Control is the engine-facing controller surface: the serving backends
-// drive whichever controller they are given through this interface, so the
-// single-pipeline Controller and the multi-tenant MultiController are
-// interchangeable behind an engine's housekeeping loop.
+// step the controller they are given through this interface from their
+// housekeeping loop. MultiController is the production implementation; a
+// single pipeline is a one-tenant MultiController.
 type Control interface {
 	// Step runs one Resource Manager invocation; force skips the
 	// change-threshold check (used on the periodic interval).
@@ -27,10 +27,7 @@ type Control interface {
 	Rebalance()
 }
 
-var (
-	_ Control = (*Controller)(nil)
-	_ Control = (*MultiController)(nil)
-)
+var _ Control = (*MultiController)(nil)
 
 // CappedPlanner is a Planner that can additionally solve under a temporary
 // server budget smaller than its configured cluster size. The
@@ -63,8 +60,11 @@ type Tenant struct {
 	// pool the share applies per hardware class: the floor is a slice of
 	// every class, so the guarantee covers fast hardware too.
 	MinShare float64
-	// RouteHeadroom inflates the demand handed to MostAccurateFirst, as in
-	// Controller.RouteHeadroom.
+	// RouteHeadroom inflates the demand handed to MostAccurateFirst, so the
+	// greedy fill loads every worker to 1/(1+RouteHeadroom) of its profiled
+	// capacity instead of exactly 100%. Batch queues at critical load build
+	// unbounded waits; this is the slack that keeps queueing delay inside
+	// the SLO/2 allowance. Should match the allocator's Headroom.
 	RouteHeadroom float64
 	// ForecastHorizonSec is how far ahead this tenant's forecaster is
 	// consulted when planning (zero means DefaultForecastHorizonSec).

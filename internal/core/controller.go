@@ -1,9 +1,6 @@
 package core
 
-import (
-	"math"
-	"sync"
-)
+import "math"
 
 // Planner produces a resource allocation plan for a demand estimate. The
 // MILP-based Allocator is Loki's planner; the baselines in
@@ -14,130 +11,14 @@ type Planner interface {
 	Allocate(demand float64) (*Plan, error)
 }
 
-// Controller ties the Resource Manager and Load Balancer together (§3) for
-// a single pipeline. A serving engine (the discrete-event cluster or the
-// live wall-clock engine) drives it: Step runs the Resource Manager's
-// periodic allocation (with a plan cache over quantized demand levels,
-// since re-solving an identical MILP every control period would be wasted
-// work on a real cluster too), and Rebalance refreshes only the routing
-// tables between allocations, as §5.1 describes. Its step/cache/publish
-// machinery is the shared Tenant state also used per pipeline by the
-// multi-tenant MultiController, so the single- and multi-tenant control
-// planes cannot drift.
-type Controller struct {
-	Meta  *MetadataStore
-	Alloc Planner
-
-	// Publish delivers a new plan and routing tables to the serving
-	// engine. Called whenever either changes.
-	Publish func(plan *Plan, routes *Routes)
-
-	// ReallocateThreshold is the relative demand change that triggers
-	// re-allocation before the periodic interval elapses. Zero means 0.2.
-	ReallocateThreshold float64
-
-	// RouteHeadroom inflates the demand handed to MostAccurateFirst, so the
-	// greedy fill loads every worker to 1/(1+RouteHeadroom) of its profiled
-	// capacity instead of exactly 100%. Batch queues at critical load build
-	// unbounded waits; this is the slack that keeps queueing delay inside
-	// the SLO/2 allowance. Should match the allocator's Headroom.
-	RouteHeadroom float64
-
-	// ForecastHorizonSec is how far ahead the Metadata Store's forecaster
-	// is consulted when planning (zero means DefaultForecastHorizonSec, the
-	// RM's periodic interval). Irrelevant without a forecaster installed.
-	ForecastHorizonSec float64
-
-	mu    sync.Mutex
-	state Tenant // plan cache, standing plan/routes, allocate counter
-	steps int
-}
-
-// NewController wires a controller.
-func NewController(meta *MetadataStore, alloc Planner, publish func(*Plan, *Routes)) *Controller {
-	return &Controller{Meta: meta, Alloc: alloc, Publish: publish}
-}
-
-// stateLocked mirrors the controller's public fields (settable after
-// construction) into the embedded tenant state and returns it.
-func (c *Controller) stateLocked() *Tenant {
-	t := &c.state
-	t.Meta, t.Alloc, t.Publish, t.RouteHeadroom = c.Meta, c.Alloc, c.Publish, c.RouteHeadroom
-	t.ForecastHorizonSec = c.ForecastHorizonSec
-	return t
-}
-
 // demandBucket quantizes demand geometrically for plan caching: two demands
 // share a bucket when they differ by less than roughly ratio-1 (relative).
-// The single-pipeline controller uses the fine legacyBucketRatio; the
-// multi-tenant arbiter widens the buckets to its adaptation threshold — see
+// A one-tenant MultiController uses the fine legacyBucketRatio; with several
+// tenants the arbiter widens the buckets to its adaptation threshold — see
 // MultiController.bucketRatio.
 func demandBucket(d, ratio float64) int {
 	if d < 1 {
 		return 0
 	}
 	return int(math.Round(math.Log(d) / math.Log(ratio)))
-}
-
-// Step runs one Resource Manager invocation: estimate demand, allocate
-// (through the cache), and rebuild routing tables. force skips the
-// change-threshold check (used on the periodic interval).
-func (c *Controller) Step(force bool) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t := c.stateLocked()
-	demand := t.planningDemand()
-	c.steps++
-
-	thr := c.ReallocateThreshold
-	if thr == 0 {
-		thr = 0.2
-	}
-	if !force && t.plan != nil && !t.moved(demand, thr) {
-		return nil
-	}
-
-	plan, err := t.solve(demand, nil, legacyBucketRatio)
-	if err != nil {
-		return err
-	}
-	t.plan = plan
-	t.planDmd = demand
-	t.publish(demand)
-	return nil
-}
-
-// Rebalance reruns MostAccurateFirst with the current planning demand
-// against the standing plan (the Load Balancer's between-allocations
-// refresh).
-func (c *Controller) Rebalance() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t := c.stateLocked()
-	if t.plan == nil {
-		return
-	}
-	t.publish(t.planningDemand())
-}
-
-// Plan returns the standing plan (nil before the first Step).
-func (c *Controller) Plan() *Plan {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.state.plan
-}
-
-// Routes returns the standing routing tables (nil before the first Step).
-func (c *Controller) Routes() *Routes {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.state.routes
-}
-
-// Allocates returns the number of MILP invocations performed (cache
-// misses).
-func (c *Controller) Allocates() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.state.allocates
 }

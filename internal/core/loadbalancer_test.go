@@ -158,6 +158,17 @@ func TestExpandPlanAssignsDenseIDs(t *testing.T) {
 	}
 }
 
+// oneTenant wires a single pipeline the way the serving stack does: as the
+// only tenant of a MultiController over a 20-server pool.
+func oneTenant(t *testing.T, meta *MetadataStore, alloc Planner, publish func(*Plan, *Routes)) *MultiController {
+	t.Helper()
+	ctrl, err := NewMultiController(20, []*Tenant{{Name: "pipeline", Meta: meta, Alloc: alloc, Publish: publish}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ctrl
+}
+
 func TestControllerCachesPlansByDemandBucket(t *testing.T) {
 	g := profiles.TrafficChain()
 	prof := (&profiles.Profiler{}).ProfileGraph(g, profiles.Batches)
@@ -169,7 +180,7 @@ func TestControllerCachesPlansByDemandBucket(t *testing.T) {
 		t.Fatal(err)
 	}
 	published := 0
-	ctrl := NewController(meta, alloc, func(*Plan, *Routes) { published++ })
+	ctrl := oneTenant(t, meta, alloc, func(*Plan, *Routes) { published++ })
 	meta.ObserveDemand(400)
 	if err := ctrl.Step(true); err != nil {
 		t.Fatal(err)
@@ -181,8 +192,8 @@ func TestControllerCachesPlansByDemandBucket(t *testing.T) {
 	if err := ctrl.Step(true); err != nil {
 		t.Fatal(err)
 	}
-	if ctrl.Allocates() != 1 {
-		t.Fatalf("cache miss on identical demand: %d allocates", ctrl.Allocates())
+	if ctrl.Allocates() != 1 || published != 2 {
+		t.Fatalf("identical demand: allocates=%d published=%d, want 1 and 2", ctrl.Allocates(), published)
 	}
 	// Different demand: new solve.
 	meta.ObserveDemand(2000)
@@ -206,7 +217,7 @@ func TestControllerReactiveThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl := NewController(meta, alloc, nil)
+	ctrl := oneTenant(t, meta, alloc, nil)
 	meta.ObserveDemand(400)
 	if err := ctrl.Step(true); err != nil {
 		t.Fatal(err)
@@ -220,7 +231,7 @@ func TestControllerReactiveThreshold(t *testing.T) {
 	if ctrl.Allocates() != base {
 		t.Fatal("reactive step reallocated on a small drift")
 	}
-	if ctrl.Plan() == nil || ctrl.Routes() == nil {
+	if ctrl.PlanOf(0) == nil || ctrl.RoutesOf(0) == nil {
 		t.Fatal("controller lost its standing plan")
 	}
 }

@@ -11,7 +11,9 @@ import (
 	"loki/internal/trace"
 )
 
-func newSimHarness(t *testing.T, seed int64) (Engine, *core.Controller) {
+// newSimHarness wires one pipeline as the only tenant of a simulated
+// MultiEngine and a MultiController, pre-warmed for 100 QPS.
+func newSimHarness(t *testing.T, seed int64) (MultiEngine, *core.MultiController) {
 	t.Helper()
 	g := profiles.TrafficChain()
 	prof := (&profiles.Profiler{Seed: seed}).ProfileGraph(g, profiles.Batches)
@@ -22,17 +24,25 @@ func newSimHarness(t *testing.T, seed int64) (Engine, *core.Controller) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewSimulated(Config{
-		Meta:      meta,
-		Policy:    policy.Opportunistic{},
-		Collector: metrics.NewCollector(10, 10),
-		Servers:   10, SLOSec: 0.250, NetLatencySec: 0.002, Seed: seed,
+	eng, err := NewMulti(KindSimulated, MultiConfig{
+		Servers: 10, NetLatencySec: 0.002, Seed: seed,
+		Tenants: []TenantConfig{{
+			Meta:      meta,
+			Policy:    policy.Opportunistic{},
+			Collector: metrics.NewCollector(10, 10),
+			SLOSec:    0.250,
+		}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl := core.NewController(meta, alloc, eng.ApplyPlan)
-	ctrl.RouteHeadroom = 0.30
+	ctrl, err := core.NewMultiController(10, []*core.Tenant{{
+		Name: "chain", Meta: meta, Alloc: alloc, RouteHeadroom: 0.30,
+		Publish: func(plan *core.Plan, routes *core.Routes) { eng.ApplyPlan(0, plan, routes) },
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	meta.ObserveDemand(100)
 	if err := ctrl.Step(true); err != nil {
 		t.Fatal(err)
@@ -47,13 +57,13 @@ func runOnce(t *testing.T, seed int64) Stats {
 		t.Fatal(err)
 	}
 	tr := trace.Ramp(80, 160, 8, 2)
-	if err := eng.Feed(tr); err != nil {
+	if err := eng.FeedAll([]*trace.Trace{tr}); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Stop(); err != nil {
 		t.Fatal(err)
 	}
-	return eng.Stats()
+	return eng.Stats(0)
 }
 
 func TestSimulatedConservation(t *testing.T) {
@@ -74,16 +84,16 @@ func TestSimulatedDeterministicPerSeed(t *testing.T) {
 
 func TestSimulatedLifecycleErrors(t *testing.T) {
 	eng, ctrl := newSimHarness(t, 2)
-	if err := eng.Submit(); !errors.Is(err, ErrNotStarted) {
+	if err := eng.Submit(0); !errors.Is(err, ErrNotStarted) {
 		t.Fatalf("Submit before Start = %v", err)
 	}
-	if err := eng.Feed(trace.Ramp(10, 20, 2, 1)); !errors.Is(err, ErrNotStarted) {
+	if err := eng.FeedAll([]*trace.Trace{trace.Ramp(10, 20, 2, 1)}); !errors.Is(err, ErrNotStarted) {
 		t.Fatalf("Feed before Start = %v", err)
 	}
 	if err := eng.Start(ctrl); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Submit(); err != nil {
+	if err := eng.Submit(0); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Stop(); err != nil {
@@ -92,10 +102,10 @@ func TestSimulatedLifecycleErrors(t *testing.T) {
 	if err := eng.Stop(); err != nil {
 		t.Fatalf("Stop must be idempotent, got %v", err)
 	}
-	if err := eng.Submit(); !errors.Is(err, ErrStopped) {
+	if err := eng.Submit(0); !errors.Is(err, ErrStopped) {
 		t.Fatalf("Submit after Stop = %v", err)
 	}
-	st := eng.Stats()
+	st := eng.Stats(0)
 	if st.Injected != 1 || st.Completed+st.Dropped != 1 {
 		t.Fatalf("submitted request not drained by Stop: %+v", st)
 	}
@@ -107,14 +117,14 @@ func TestSubmitOnlyDrainsAtStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 25; i++ {
-		if err := eng.Submit(); err != nil {
+		if err := eng.Submit(0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := eng.Stop(); err != nil {
 		t.Fatal(err)
 	}
-	st := eng.Stats()
+	st := eng.Stats(0)
 	if st.Injected != 25 || st.Completed == 0 {
 		t.Fatalf("stats after drain: %+v", st)
 	}

@@ -118,10 +118,13 @@ func (c *MultiConfig) defaults() error {
 	return nil
 }
 
-// MultiEngine is a serving backend hosting several pipelines on one shared
-// pool and clock. Tenants are addressed by their index in
-// MultiConfig.Tenants. The lifecycle mirrors Engine:
-// Start → {Submit | Feed | FeedAll}* → Stop.
+// MultiEngine is a serving backend hosting one or more pipelines on one
+// shared pool and clock; a single pipeline is a one-tenant backend. Tenants
+// are addressed by their index in MultiConfig.Tenants. The lifecycle is
+// Start → {Submit | FeedAll}* → Stop; Stop drains in-flight requests and is
+// idempotent. ApplyPlan may be called at any point after construction (the
+// controller publishes through it, including for the pre-warm plan
+// installed before Start).
 type MultiEngine interface {
 	// ApplyPlan installs one tenant's plan and routing tables (the joint
 	// controller's per-tenant publish target).
@@ -159,8 +162,8 @@ type MultiEngine interface {
 	ActiveByClass(tenant int) []int
 }
 
-// NewMulti builds the multi-tenant backend of the given kind — the shared
-// constructor behind loki.MultiSystem and the multi-tenant experiments.
+// NewMulti builds the backend of the given kind — the one constructor
+// behind loki.System, loki.MultiSystem, and internal/experiments.
 func NewMulti(k Kind, cfg MultiConfig) (MultiEngine, error) {
 	switch k {
 	case KindSimulated:
@@ -175,8 +178,8 @@ func NewMulti(k Kind, cfg MultiConfig) (MultiEngine, error) {
 // multiSimulated hosts one cluster.Cluster per tenant on a single
 // discrete-event clock. Virtual time advances only inside FeedAll and Stop,
 // so the adapter must be driven from one goroutine. Seeds are offset per
-// tenant (tenant i: cluster Seed+1+2i, arrivals Seed+2+2i) so tenant 0 of a
-// one-tenant system reproduces the single-pipeline backend bit for bit.
+// tenant (tenant i: cluster Seed+1+2i, arrivals Seed+2+2i); tenant 0 keeps
+// the seeds the recorded single-pipeline goldens pin.
 type multiSimulated struct {
 	cfg  MultiConfig
 	eng  *sim.Engine
@@ -191,7 +194,7 @@ type multiSimulated struct {
 	shed      []int64 // cumulative per-tenant shed counts
 	shedFlush []int64 // shed since the last housekeeping flush (offered demand)
 
-	// Fault injection: the pool-level fault state, the compiled timeline,
+	// Fault injection: the pool-level fault target, the compiled timeline,
 	// and whether FeedAll has armed it (events anchor to the first feed).
 	fp          *faultPool
 	timeline    []fault.Timed
@@ -204,6 +207,7 @@ func newMultiSimulated(cfg MultiConfig) (MultiEngine, error) {
 	}
 	eng := &sim.Engine{}
 	m := &multiSimulated{cfg: cfg, eng: eng}
+	var workers []faultWorkers
 	for i, t := range cfg.Tenants {
 		cl, err := cluster.New(eng, t.Meta, t.Policy, t.Collector, cluster.Options{
 			Servers:        cfg.Servers,
@@ -221,79 +225,17 @@ func newMultiSimulated(cfg MultiConfig) (MultiEngine, error) {
 			return nil, fmt.Errorf("engine: tenant %d: %w", i, err)
 		}
 		m.cls = append(m.cls, cl)
+		workers = append(workers, cl)
 	}
 	m.shed = make([]int64, len(cfg.Tenants))
 	m.shedFlush = make([]int64, len(cfg.Tenants))
 	if cfg.Faults != nil {
-		m.fp = newFaultPool(cfg.Servers, cfg.Classes)
-		tl, err := compileFaults(cfg.Faults, m.fp)
-		if err != nil {
+		var err error
+		if m.fp, m.timeline, err = newFaultPool(&m.cfg, workers); err != nil {
 			return nil, err
 		}
-		m.timeline = tl
 	}
 	return m, nil
-}
-
-// Fail, Recover, Slow, and Restore implement fault.Target on the shared
-// pool: victims are chosen once at the pool level and applied to every
-// tenant's cluster (each models the same physical machines), then the live
-// per-class counts are pushed to the metadata stores and the controller.
-func (m *multiSimulated) Fail(class, n int) []int {
-	phys := m.fp.pickFail(class, n)
-	for _, cl := range m.cls {
-		for _, p := range phys {
-			cl.SetWorkerDown(p)
-		}
-	}
-	m.publishLive()
-	return phys
-}
-
-func (m *multiSimulated) Recover(phys []int) {
-	m.fp.recover(phys)
-	for _, cl := range m.cls {
-		for _, p := range phys {
-			cl.SetWorkerUp(p)
-		}
-	}
-	m.publishLive()
-}
-
-func (m *multiSimulated) Slow(class, n int, factor float64) []int {
-	phys := m.fp.pickSlow(class, n)
-	for _, cl := range m.cls {
-		for _, p := range phys {
-			cl.SetWorkerSpeedFactor(p, factor)
-		}
-	}
-	return phys
-}
-
-func (m *multiSimulated) Restore(phys []int) {
-	m.fp.restore(phys)
-	for _, cl := range m.cls {
-		for _, p := range phys {
-			cl.SetWorkerSpeedFactor(p, 1)
-		}
-	}
-}
-
-// publishLive pushes the pool's per-class up counts to every tenant's
-// MetadataStore (Snapshot reports them) and to the controller when it
-// re-plans against live capacity.
-func (m *multiSimulated) publishLive() {
-	live := m.fp.live()
-	var forMeta []int
-	if m.fp.anyDown() {
-		forMeta = live
-	}
-	for i := range m.cfg.Tenants {
-		m.cfg.Tenants[i].Meta.SetLiveClassCounts(forMeta)
-	}
-	if co, ok := m.ctrl.(core.CapacityObserver); ok {
-		co.ObserveCapacity(live)
-	}
 }
 
 // admit consults tenant i's admission controller at the current virtual
@@ -328,6 +270,9 @@ func (m *multiSimulated) Start(ctrl core.Control) error {
 	}
 	m.started = true
 	m.ctrl = ctrl
+	if m.fp != nil {
+		m.fp.ctrl = ctrl
+	}
 	m.arrRngs = make([]*rand.Rand, len(m.cls))
 	for i := range m.cls {
 		m.arrRngs[i] = rand.New(rand.NewSource(m.cfg.Seed + 2 + 2*int64(i)))
@@ -351,8 +296,7 @@ func (m *multiSimulated) Submit(tenant int) error {
 
 // FeedAll schedules every tenant's arrivals plus the shared housekeeping
 // ticks, then runs virtual time through the longest trace and drains
-// in-flight requests. With a single tenant this is exactly the event program
-// of the single-pipeline simulated backend.
+// in-flight requests.
 func (m *multiSimulated) FeedAll(traces []*trace.Trace) error {
 	if !m.started {
 		return ErrNotStarted
@@ -387,7 +331,7 @@ func (m *multiSimulated) FeedAll(traces []*trace.Trace) error {
 		for _, tc := range m.timeline {
 			tc := tc
 			m.eng.At(start+tc.At, func() {
-				desc := tc.Fire(m)
+				desc := tc.Fire(m.fp)
 				if m.cfg.OnFault != nil {
 					m.cfg.OnFault(m.eng.Now(), desc)
 				}
@@ -521,11 +465,12 @@ type multiWallclock struct {
 	mu      sync.Mutex
 	started bool
 
-	// Fault injection: pool-level fault state, compiled timeline, the
-	// controller observing capacity, and the injector goroutine lifecycle.
+	// Fault injection: the pool-level fault target, the compiled timeline,
+	// and the injector goroutine lifecycle. The target is only driven from
+	// the single injector goroutine, so its pool state needs no extra
+	// locking; the per-engine mutations take each engine's own lock.
 	fp        *faultPool
 	timeline  []fault.Timed
-	ctrl      core.Control
 	faultDone chan struct{}
 	faultWG   sync.WaitGroup
 }
@@ -535,6 +480,7 @@ func newMultiWallclock(cfg MultiConfig) (MultiEngine, error) {
 		return nil, err
 	}
 	m := &multiWallclock{cfg: cfg}
+	var workers []faultWorkers
 	for i, t := range cfg.Tenants {
 		e, err := live.New(t.Meta, t.Policy, t.Collector, live.Options{
 			Servers:       cfg.Servers,
@@ -556,74 +502,15 @@ func newMultiWallclock(cfg MultiConfig) (MultiEngine, error) {
 			return nil, fmt.Errorf("engine: tenant %d: %w", i, err)
 		}
 		m.es = append(m.es, e)
+		workers = append(workers, e)
 	}
 	if cfg.Faults != nil {
-		m.fp = newFaultPool(cfg.Servers, cfg.Classes)
-		tl, err := compileFaults(cfg.Faults, m.fp)
-		if err != nil {
+		var err error
+		if m.fp, m.timeline, err = newFaultPool(&m.cfg, workers); err != nil {
 			return nil, err
 		}
-		m.timeline = tl
 	}
 	return m, nil
-}
-
-// Fail, Recover, Slow, and Restore implement fault.Target — see the
-// simulated twin for the semantics. They are only called from the single
-// fault-injector goroutine, so the pool state needs no extra locking; the
-// per-engine mutations take each engine's own lock.
-func (m *multiWallclock) Fail(class, n int) []int {
-	phys := m.fp.pickFail(class, n)
-	for _, e := range m.es {
-		for _, p := range phys {
-			e.SetWorkerDown(p)
-		}
-	}
-	m.publishLive()
-	return phys
-}
-
-func (m *multiWallclock) Recover(phys []int) {
-	m.fp.recover(phys)
-	for _, e := range m.es {
-		for _, p := range phys {
-			e.SetWorkerUp(p)
-		}
-	}
-	m.publishLive()
-}
-
-func (m *multiWallclock) Slow(class, n int, factor float64) []int {
-	phys := m.fp.pickSlow(class, n)
-	for _, e := range m.es {
-		for _, p := range phys {
-			e.SetWorkerSpeedFactor(p, factor)
-		}
-	}
-	return phys
-}
-
-func (m *multiWallclock) Restore(phys []int) {
-	m.fp.restore(phys)
-	for _, e := range m.es {
-		for _, p := range phys {
-			e.SetWorkerSpeedFactor(p, 1)
-		}
-	}
-}
-
-func (m *multiWallclock) publishLive() {
-	live := m.fp.live()
-	var forMeta []int
-	if m.fp.anyDown() {
-		forMeta = live
-	}
-	for i := range m.cfg.Tenants {
-		m.cfg.Tenants[i].Meta.SetLiveClassCounts(forMeta)
-	}
-	if co, ok := m.ctrl.(core.CapacityObserver); ok {
-		co.ObserveCapacity(live)
-	}
 }
 
 // runFaults fires the compiled timeline on scaled wall time until Stop.
@@ -649,7 +536,7 @@ func (m *multiWallclock) runFaults() {
 			default:
 			}
 		}
-		desc := tc.Fire(m)
+		desc := tc.Fire(m.fp)
 		if m.cfg.OnFault != nil {
 			m.cfg.OnFault(m.es[0].Now(), desc)
 		}
@@ -680,7 +567,7 @@ func (m *multiWallclock) Start(ctrl core.Control) error {
 	}
 	m.started = true
 	if len(m.timeline) > 0 {
-		m.ctrl = ctrl
+		m.fp.ctrl = ctrl
 		m.faultDone = make(chan struct{})
 		m.faultWG.Add(1)
 		go m.runFaults()

@@ -44,7 +44,8 @@ func (a Approach) String() string {
 }
 
 // Backend selects the serving substrate a run executes on. Both backends
-// implement the same engine.Engine interface; the run wiring is identical.
+// implement the same engine.MultiEngine interface; the run wiring is
+// identical.
 type Backend = engine.Kind
 
 const (
@@ -104,7 +105,7 @@ func (cfg *RunConfig) defaults() {
 		cfg.NetLatencySec = 0.002
 	}
 	// RMIntervalSec, LBIntervalSec, and Policy default inside
-	// engine.Config.defaults — the one authoritative site for the
+	// engine.MultiConfig.defaults — the one authoritative site for the
 	// engine-level knobs.
 	if cfg.BucketSec == 0 {
 		cfg.BucketSec = 30
@@ -135,34 +136,6 @@ type RunResult struct {
 	Dropped   int64
 	Rerouted  int64
 	Swaps     int64
-
-	// SolveWall aggregates the wall-clock time of planner invocations for
-	// the §6.5 runtime-overhead analysis.
-	SolveWall      time.Duration
-	SolveWallCount int
-}
-
-// MeanSolveMillis returns the mean planner wall time in milliseconds.
-func (r *RunResult) MeanSolveMillis() float64 {
-	if r.SolveWallCount == 0 {
-		return 0
-	}
-	return float64(r.SolveWall.Milliseconds()) / float64(r.SolveWallCount)
-}
-
-// timedPlanner wraps a Planner to record wall-clock solve times.
-type timedPlanner struct {
-	inner core.Planner
-	total time.Duration
-	n     int
-}
-
-func (t *timedPlanner) Allocate(d float64) (*core.Plan, error) {
-	t0 := time.Now()
-	p, err := t.inner.Allocate(d)
-	t.total += time.Since(t0)
-	t.n++
-	return p, err
 }
 
 // NewPlanner builds the Resource Manager planner for an approach: Loki's
@@ -196,8 +169,8 @@ func NewPlanner(ap Approach, meta *core.MetadataStore, aopts core.AllocatorOptio
 
 // Run executes one serving run on the configured backend — the
 // discrete-event simulator in virtual time by default, or the wall-clock
-// prototype. The wiring is backend-agnostic: both substrates sit behind the
-// shared engine.Engine interface.
+// prototype. The wiring is backend-agnostic: the pipeline is the single
+// tenant of a MultiController driving an engine.MultiEngine.
 func Run(cfg RunConfig) (*RunResult, error) {
 	cfg.defaults()
 	if err := cfg.Graph.Validate(); err != nil {
@@ -227,7 +200,6 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	timed := &timedPlanner{inner: planner}
 
 	col := metrics.NewCollector(cfg.BucketSec, cfg.Servers)
 	if len(cfg.Classes) > 0 {
@@ -239,13 +211,13 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		}
 		col.SetClasses(names, costs)
 	}
-	ecfg := engine.Config{
-		Meta:           meta,
-		Policy:         cfg.Policy,
-		Collector:      col,
+	tcfg := engine.TenantConfig{Meta: meta, Policy: cfg.Policy, Collector: col, SLOSec: cfg.SLOSec}
+	if proteus != nil {
+		tcfg.OnTaskDemand = proteus.ObserveTaskDemand
+	}
+	eng, err := engine.NewMulti(cfg.Backend, engine.MultiConfig{
 		Servers:        cfg.Servers,
 		Classes:        cfg.Classes,
-		SLOSec:         cfg.SLOSec,
 		NetLatencySec:  cfg.NetLatencySec,
 		Seed:           cfg.Seed,
 		SwapLatencySec: cfg.SwapLatencySec,
@@ -254,17 +226,22 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		RMIntervalSec:  cfg.RMIntervalSec,
 		LBIntervalSec:  cfg.LBIntervalSec,
 		TimeScale:      cfg.TimeScale,
-	}
-	if proteus != nil {
-		ecfg.OnTaskDemand = proteus.ObserveTaskDemand
-	}
-	eng, err := engine.New(cfg.Backend, ecfg)
+		Tenants:        []engine.TenantConfig{tcfg},
+	})
 	if err != nil {
 		return nil, err
 	}
 
-	ctrl := core.NewController(meta, timed, eng.ApplyPlan)
-	ctrl.RouteHeadroom = cfg.Headroom
+	ctrl, err := core.NewMultiController(cfg.Servers, []*core.Tenant{{
+		Name: cfg.Graph.Name, Meta: meta, Alloc: planner,
+		RouteHeadroom: cfg.Headroom,
+		Publish: func(plan *core.Plan, routes *core.Routes) {
+			eng.ApplyPlan(0, plan, routes)
+		},
+	}})
+	if err != nil {
+		return nil, err
+	}
 
 	// Pre-warm: allocate for the trace's opening demand before traffic.
 	meta.ObserveDemand(cfg.Trace.QPS[0])
@@ -275,7 +252,7 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	if err := eng.Start(ctrl); err != nil {
 		return nil, err
 	}
-	feedErr := eng.Feed(cfg.Trace)
+	feedErr := eng.FeedAll([]*trace.Trace{cfg.Trace})
 	stopErr := eng.Stop()
 	if feedErr != nil {
 		return nil, feedErr
@@ -284,22 +261,19 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		return nil, stopErr
 	}
 
-	st := eng.Stats()
-	res := &RunResult{
-		Name:           fmt.Sprintf("%s/%s", cfg.Graph.Name, cfg.Approach),
-		Approach:       cfg.Approach,
-		Summary:        col.Summarize(),
-		Series:         col.Series(),
-		Allocates:      ctrl.Allocates(),
-		Injected:       st.Injected,
-		Completed:      st.Completed,
-		Dropped:        st.Dropped,
-		Rerouted:       st.Rerouted,
-		Swaps:          st.Swaps,
-		SolveWall:      timed.total,
-		SolveWallCount: timed.n,
-	}
-	return res, nil
+	st := eng.Stats(0)
+	return &RunResult{
+		Name:      fmt.Sprintf("%s/%s", cfg.Graph.Name, cfg.Approach),
+		Approach:  cfg.Approach,
+		Summary:   col.Summarize(),
+		Series:    col.Series(),
+		Allocates: ctrl.Allocates(),
+		Injected:  st.Injected,
+		Completed: st.Completed,
+		Dropped:   st.Dropped,
+		Rerouted:  st.Rerouted,
+		Swaps:     st.Swaps,
+	}, nil
 }
 
 // inferLinePlanner adapts the InferLine baseline to the Planner interface,

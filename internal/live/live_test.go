@@ -37,8 +37,13 @@ func TestLiveEngineServesTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl := core.NewController(meta, alloc, eng.ApplyPlan)
-	ctrl.RouteHeadroom = 0.30
+	ctrl, err := core.NewMultiController(20, []*core.Tenant{{
+		Name: "traffic", Meta: meta, Alloc: alloc, RouteHeadroom: 0.30,
+		Publish: eng.ApplyPlan,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Constant load: ramps stress controller lag identically in both
 	// engines (that is the validation experiment's job); the unit test
@@ -48,7 +53,13 @@ func TestLiveEngineServesTrace(t *testing.T) {
 	if err := ctrl.Step(true); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Serve(tr, ctrl); err != nil {
+	if err := eng.Start(ctrl); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Feed(tr); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Stop(); err != nil {
 		t.Fatal(err)
 	}
 
