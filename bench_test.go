@@ -203,8 +203,11 @@ func BenchmarkEndToEndServe(b *testing.B) {
 	}
 }
 
-// BenchmarkClusterEventThroughput measures raw simulator speed: simulated
-// requests processed per wall second at a fixed demand.
+// BenchmarkClusterEventThroughput measures a whole public-API serving run
+// at a fixed demand, reported as simulated requests per wall second. The
+// controller steps on its normal cadence, so the planner is a large share
+// of the time (over half on a 2-vCPU host); the event loop alone is
+// BenchmarkSimEventLoop in internal/cluster.
 func BenchmarkClusterEventThroughput(b *testing.B) {
 	pipe := loki.TrafficAnalysisPipeline()
 	tr := &trace.Trace{Interval: 10, QPS: []float64{500, 500, 500}}

@@ -98,6 +98,18 @@ type Cluster struct {
 	DropsPolicy    int64
 	DropsStale     int64
 	DropsFault     int64
+
+	// Request-path objects are recycled through free lists so a steady-state
+	// run allocates nothing per request. Ownership: a subrequest is freed at
+	// the end of completeAt or abandon, a root in finish, and a batch after
+	// its completion event has run (crashed or not).
+	subs    pool[subrequest]
+	roots   pool[rootRequest]
+	batches pool[batch]
+
+	// ctx is the drop policy's argument, reused by every forward (the event
+	// loop runs on one goroutine); FindBackup is bound once in New.
+	ctx policy.Context
 }
 
 type worker struct {
@@ -137,6 +149,73 @@ type subrequest struct {
 	task     pipeline.TaskID
 	acc      float64 // product of variant accuracies before this task
 	enqueued float64
+
+	target core.WorkerID // logical worker the in-flight hop delivers to
+	arrive func()        // bound once: c.arrive(sub), the hop's delivery event
+}
+
+// batch is one executing batch: what its completion event needs after the
+// worker may have been reconfigured or crashed.
+type batch struct {
+	w     *worker
+	subs  []*subrequest
+	spec  *core.WorkerSpec // captured: reconfiguration must not affect a running batch
+	gen   int              // captured: a crash mid-batch discards the results
+	start float64
+	done  func() // bound once: c.batchDone(bt), the completion event
+}
+
+// pool is a free list of recycled request-path objects. made counts the
+// objects ever allocated, so made-len(free) is the number in use.
+type pool[T any] struct {
+	free []*T
+	made int
+}
+
+// get pops a recycled object, or returns nil when the free list is empty.
+func (p *pool[T]) get() *T {
+	n := len(p.free)
+	if n == 0 {
+		return nil
+	}
+	x := p.free[n-1]
+	p.free = p.free[:n-1]
+	return x
+}
+
+func (p *pool[T]) put(x *T) { p.free = append(p.free, x) }
+
+func (c *Cluster) newSub(root *rootRequest, task pipeline.TaskID, acc float64) *subrequest {
+	sub := c.subs.get()
+	if sub == nil {
+		sub = &subrequest{}
+		sub.arrive = func() { c.arrive(sub) }
+		c.subs.made++
+	}
+	sub.root, sub.task, sub.acc = root, task, acc
+	return sub
+}
+
+func (c *Cluster) freeSub(sub *subrequest) {
+	sub.root = nil // a use after free panics instead of corrupting a live root
+	c.subs.put(sub)
+}
+
+func (c *Cluster) newBatch() *batch {
+	bt := c.batches.get()
+	if bt == nil {
+		bt = &batch{}
+		bt.done = func() { c.batchDone(bt) }
+		c.batches.made++
+	}
+	return bt
+}
+
+func (c *Cluster) freeBatch(bt *batch) {
+	clear(bt.subs)
+	bt.subs = bt.subs[:0]
+	bt.w, bt.spec = nil, nil
+	c.batches.put(bt)
 }
 
 // New creates a cluster on the given engine.
@@ -166,6 +245,7 @@ func New(eng *sim.Engine, meta *core.MetadataStore, pol policy.Policy, col *metr
 		logical:    map[core.WorkerID]*worker{},
 		backupLeft: map[core.WorkerID]float64{},
 	}
+	c.ctx.FindBackup = c.findBackup
 	// Physical workers are laid out class by class: the first
 	// Classes[0].Count servers belong to class 0, and so on.
 	for cl, class := range opts.Classes {
@@ -363,7 +443,8 @@ func (c *Cluster) dropQueue(w *worker) {
 	for _, sub := range w.queue {
 		c.abandon(sub)
 	}
-	w.queue = nil
+	clear(w.queue)
+	w.queue = w.queue[:0]
 	c.Opts.Telemetry.QueueCleared(c.Eng.Now(), w.phys)
 }
 
@@ -426,7 +507,12 @@ func (c *Cluster) InjectRequest() {
 		c.Metrics.Arrival(now)
 	}
 	c.nextRootID++
-	root := &rootRequest{
+	root := c.roots.get()
+	if root == nil {
+		root = &rootRequest{}
+		c.roots.made++
+	}
+	*root = rootRequest{
 		id:       c.nextRootID,
 		arrived:  now,
 		deadline: now + c.Opts.SLOSec,
@@ -446,31 +532,34 @@ func (c *Cluster) InjectRequest() {
 		return
 	}
 	root.outstanding = 1
-	sub := &subrequest{root: root, task: 0, acc: 1}
-	c.deliver(sub, target)
+	c.deliver(c.newSub(root, 0, 1), target)
 }
 
 // deliver moves a subrequest to a logical worker after one network hop.
 func (c *Cluster) deliver(sub *subrequest, target core.WorkerID) {
-	c.Eng.After(c.Opts.NetLatencySec, func() {
-		w := c.logical[target]
-		if w == nil || w.spec == nil || w.spec.Task != sub.task {
-			// The worker was reassigned while the request was in flight.
-			c.DropsStale++
-			c.abandon(sub)
-			return
-		}
-		if len(w.queue) >= w.qcap {
-			c.DropsQueueFull++
-			c.abandon(sub) // queue overflow
-			return
-		}
-		sub.enqueued = c.Eng.Now()
-		c.taskArrivals[sub.task]++
-		w.queue = append(w.queue, sub)
-		c.Opts.Telemetry.Enqueue(sub.enqueued, w.phys)
-		c.tryStart(w)
-	})
+	sub.target = target
+	c.Eng.After(c.Opts.NetLatencySec, sub.arrive)
+}
+
+// arrive enqueues a delivered subrequest at its target worker.
+func (c *Cluster) arrive(sub *subrequest) {
+	w := c.logical[sub.target]
+	if w == nil || w.spec == nil || w.spec.Task != sub.task {
+		// The worker was reassigned while the request was in flight.
+		c.DropsStale++
+		c.abandon(sub)
+		return
+	}
+	if len(w.queue) >= w.qcap {
+		c.DropsQueueFull++
+		c.abandon(sub) // queue overflow
+		return
+	}
+	sub.enqueued = c.Eng.Now()
+	c.taskArrivals[sub.task]++
+	w.queue = append(w.queue, sub)
+	c.Opts.Telemetry.Enqueue(sub.enqueued, w.phys)
+	c.tryStart(w)
 }
 
 // tryStart begins a batch if the worker is free: a work-conserving policy
@@ -484,53 +573,63 @@ func (c *Cluster) tryStart(w *worker) {
 	if b > w.spec.MaxBatch {
 		b = w.spec.MaxBatch
 	}
-	batch := append([]*subrequest(nil), w.queue[:b]...)
-	w.queue = w.queue[b:]
+	bt := c.newBatch()
+	bt.w, bt.spec, bt.gen, bt.start = w, w.spec, w.gen, now
+	bt.subs = append(bt.subs, w.queue[:b]...)
+	// Compact in place so later appends reuse the queue's backing array.
+	n := copy(w.queue, w.queue[b:])
+	clear(w.queue[n:])
+	w.queue = w.queue[:n]
 	w.busy = true
-	spec := w.spec // capture: reconfiguration must not affect a running batch
-	gen := w.gen   // capture: a crash mid-batch discards the results
-	startT := now
 	c.Opts.Telemetry.BatchStart(now, w.phys, b)
 
-	v := &c.g.Tasks[spec.Task].Variants[spec.Variant]
+	v := &c.g.Tasks[bt.spec.Task].Variants[bt.spec.Variant]
 	lat := v.Latency(b) / w.speed
 	if c.Opts.ExecJitter > 0 {
 		lat *= 1 + c.Opts.ExecJitter*(2*c.rng.Float64()-1)
 	}
-	c.Eng.After(lat, func() {
-		if w.gen != gen {
-			// The worker crashed while this batch was executing: the
-			// results never materialize and the roots are lost. (The crash
-			// already cleared the worker's telemetry in-flight state.)
-			c.DropsFault += int64(len(batch))
-			for _, sub := range batch {
-				c.abandon(sub)
+	c.Eng.After(lat, bt.done)
+}
+
+// batchDone is a batch's completion event: it forwards every request's
+// results, or drops them if the worker crashed meanwhile, then frees the
+// batch record.
+func (c *Cluster) batchDone(bt *batch) {
+	w, spec := bt.w, bt.spec
+	if w.gen != bt.gen {
+		// The worker crashed while this batch was executing: the results
+		// never materialize and the roots are lost. (The crash already
+		// cleared the worker's telemetry in-flight state.)
+		c.DropsFault += int64(len(bt.subs))
+		for _, sub := range bt.subs {
+			c.abandon(sub)
+		}
+		c.freeBatch(bt)
+		return
+	}
+	w.busy = false
+	endT := c.Eng.Now()
+	c.Opts.Telemetry.BatchEnd(endT, w.phys, len(bt.subs))
+	if c.Opts.Tracer != nil {
+		for _, sub := range bt.subs {
+			if sub.root.tr != nil {
+				c.Opts.Tracer.AddSpan(sub.root.tr, telemetry.Span{
+					Stage:       c.g.Tasks[spec.Task].Name,
+					Worker:      w.phys,
+					Class:       c.Opts.Classes[w.class].Name,
+					EnqueuedSec: sub.enqueued,
+					StartSec:    bt.start,
+					EndSec:      endT,
+					Batch:       len(bt.subs),
+				})
 			}
-			return
 		}
-		w.busy = false
-		endT := c.Eng.Now()
-		c.Opts.Telemetry.BatchEnd(endT, w.phys, len(batch))
-		if c.Opts.Tracer != nil {
-			for _, sub := range batch {
-				if sub.root.tr != nil {
-					c.Opts.Tracer.AddSpan(sub.root.tr, telemetry.Span{
-						Stage:       c.g.Tasks[spec.Task].Name,
-						Worker:      w.phys,
-						Class:       c.Opts.Classes[w.class].Name,
-						EnqueuedSec: sub.enqueued,
-						StartSec:    startT,
-						EndSec:      endT,
-						Batch:       len(batch),
-					})
-				}
-			}
-		}
-		for _, sub := range batch {
-			c.completeAt(sub, w, spec)
-		}
-		c.tryStart(w)
-	})
+	}
+	for _, sub := range bt.subs {
+		c.completeAt(sub, w, spec)
+	}
+	c.freeBatch(bt)
+	c.tryStart(w)
 }
 
 // completeAt handles one request finishing execution at a worker: record the
@@ -566,6 +665,7 @@ func (c *Cluster) completeAt(sub *subrequest, w *worker, spec *core.WorkerSpec) 
 	if sub.root.outstanding == 0 {
 		c.finish(sub.root)
 	}
+	c.freeSub(sub)
 }
 
 // tableFor resolves the routing table for queries leaving a worker. A batch
@@ -625,20 +725,18 @@ func (c *Cluster) forward(sub *subrequest, spec *core.WorkerSpec, childTask pipe
 		nextExec = tw.spec.LatencySec
 	}
 
-	ctx := policy.Context{
-		Now:         now,
-		Deadline:    sub.root.deadline,
-		EnteredTask: sub.enqueued,
-		Budget:      spec.BudgetSec,
-		HasNext:     true,
-		NextTask:    childTask,
-		NextIsSink:  len(c.g.Tasks[childTask].Children) == 0,
-		NextExec:    nextExec,
-		NetLatency:  c.Opts.NetLatencySec,
-		MinTail:     c.minTail[childTask],
-		FindBackup:  c.findBackup,
-	}
-	d := c.Policy.OnTaskComplete(&ctx)
+	ctx := &c.ctx
+	ctx.Now = now
+	ctx.Deadline = sub.root.deadline
+	ctx.EnteredTask = sub.enqueued
+	ctx.Budget = spec.BudgetSec
+	ctx.HasNext = true
+	ctx.NextTask = childTask
+	ctx.NextIsSink = len(c.g.Tasks[childTask].Children) == 0
+	ctx.NextExec = nextExec
+	ctx.NetLatency = c.Opts.NetLatencySec
+	ctx.MinTail = c.minTail[childTask]
+	d := c.Policy.OnTaskComplete(ctx)
 	if d.Drop {
 		c.DropsPolicy++
 		sub.root.dropped = true
@@ -649,8 +747,7 @@ func (c *Cluster) forward(sub *subrequest, spec *core.WorkerSpec, childTask pipe
 		c.TotalRerouted++
 	}
 	sub.root.outstanding++
-	child := &subrequest{root: sub.root, task: childTask, acc: acc}
-	c.deliver(child, target)
+	c.deliver(c.newSub(sub.root, childTask, acc), target)
 }
 
 // findBackup implements the §5.2 backup-table lookup: the most accurate
@@ -675,9 +772,10 @@ func (c *Cluster) abandon(sub *subrequest) {
 	if sub.root.outstanding == 0 {
 		c.finish(sub.root)
 	}
+	c.freeSub(sub)
 }
 
-// finish closes out a root request and records its outcome.
+// finish closes out a root request, records its outcome, and frees it.
 func (c *Cluster) finish(root *rootRequest) {
 	now := c.Eng.Now()
 	c.inflight--
@@ -687,18 +785,19 @@ func (c *Cluster) finish(root *rootRequest) {
 			c.Metrics.Dropped(now, root.arrived)
 		}
 		c.Opts.Tracer.Finish(root.tr, now, true, false)
-		return
+	} else {
+		c.TotalCompleted++
+		late := now > root.deadline+1e-9
+		c.Opts.Tracer.Finish(root.tr, now, false, late)
+		accuracy := math.NaN()
+		if root.accN > 0 {
+			accuracy = root.accSum / float64(root.accN)
+		}
+		if c.Metrics != nil {
+			c.Metrics.Completed(now, late, now-root.arrived, accuracy)
+		}
 	}
-	c.TotalCompleted++
-	late := now > root.deadline+1e-9
-	c.Opts.Tracer.Finish(root.tr, now, false, late)
-	accuracy := math.NaN()
-	if root.accN > 0 {
-		accuracy = root.accSum / float64(root.accN)
-	}
-	if c.Metrics != nil {
-		c.Metrics.Completed(now, late, now-root.arrived, accuracy)
-	}
+	c.roots.put(root)
 }
 
 // pick samples a route entry. Probabilities may sum below 1: the Load

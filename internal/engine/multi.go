@@ -340,26 +340,28 @@ func (m *multiSimulated) FeedAll(traces []*trace.Trace) error {
 	}
 
 	// Arrivals: per tenant, lazily chained Poisson events on the shared
-	// clock keep the event heap small.
+	// clock keep the event heap small. One closure per tenant walks the
+	// arrival list, rescheduling itself for the next arrival.
 	for i, tr := range traces {
 		if tr == nil {
 			continue
 		}
 		cl := m.cls[i]
 		arrivals := tr.Arrivals(m.arrRngs[i])
-		var schedule func(j int)
-		schedule = func(j int) {
-			if j >= len(arrivals) {
-				return
-			}
-			m.eng.At(start+arrivals[j], func() {
-				if ok, _ := m.admit(i); ok {
-					cl.InjectRequest()
-				}
-				schedule(j + 1)
-			})
+		if len(arrivals) == 0 {
+			continue
 		}
-		schedule(0)
+		j := 0
+		var arrive func()
+		arrive = func() {
+			if ok, _ := m.admit(i); ok {
+				cl.InjectRequest()
+			}
+			if j++; j < len(arrivals) {
+				m.eng.At(start+arrivals[j], arrive)
+			}
+		}
+		m.eng.At(start+arrivals[0], arrive)
 	}
 
 	// Per-second housekeeping: every tenant's demand report, heartbeat, and

@@ -6,50 +6,37 @@
 // methodology, not just approximates it.
 package sim
 
-import "container/heap"
-
-// Event is a scheduled callback.
+// event is a scheduled callback.
 type event struct {
 	at  float64
 	seq uint64 // FIFO tie-break for simultaneous events
 	fn  func()
 }
 
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before is the heap order. (at, seq) is a strict total order, so events
+// pop in the same sequence from any correct heap.
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = event{}
-	*h = old[:n-1]
-	return it
+	return a.seq < b.seq
 }
 
 // Engine runs events in virtual-time order. Time is in seconds. The zero
 // value is ready to use.
+//
+// The queue is a binary min-heap of event values: scheduling and popping
+// box nothing, so a steady-state run allocates only when the heap's backing
+// array grows past its previous peak.
 type Engine struct {
-	h       eventHeap
+	h       []event
 	now     float64
 	seq     uint64
 	stopped bool
-	events  uint64 // executed events, for instrumentation
 }
 
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
-
-// Events returns the number of events executed so far.
-func (e *Engine) Events() uint64 { return e.events }
 
 // At schedules fn at absolute virtual time t. Scheduling in the past is a
 // programming error and panics, because it would silently corrupt causality.
@@ -58,7 +45,8 @@ func (e *Engine) At(t float64, fn func()) {
 		panic("sim: event scheduled in the past")
 	}
 	e.seq++
-	heap.Push(&e.h, event{at: t, seq: e.seq, fn: fn})
+	e.h = append(e.h, event{at: t, seq: e.seq, fn: fn})
+	e.up(len(e.h) - 1)
 }
 
 // After schedules fn delay seconds from now.
@@ -81,10 +69,7 @@ func (e *Engine) Run(until float64) {
 		if e.h[0].at > until {
 			break
 		}
-		ev := heap.Pop(&e.h).(event)
-		e.now = ev.at
-		e.events++
-		ev.fn()
+		e.step()
 	}
 	if until > e.now {
 		e.now = until
@@ -96,12 +81,61 @@ func (e *Engine) Run(until float64) {
 func (e *Engine) RunAll() {
 	e.stopped = false
 	for len(e.h) > 0 && !e.stopped {
-		ev := heap.Pop(&e.h).(event)
-		e.now = ev.at
-		e.events++
-		ev.fn()
+		e.step()
 	}
 }
 
 // Pending returns the number of queued events.
 func (e *Engine) Pending() int { return len(e.h) }
+
+// step pops the earliest event, advances the clock to it, and runs it.
+func (e *Engine) step() {
+	h := e.h
+	ev := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h[n] = event{} // drop the callback reference
+	e.h = h[:n]
+	if n > 1 {
+		e.down(0)
+	}
+	e.now = ev.at
+	ev.fn()
+}
+
+// up restores the heap order from leaf i towards the root.
+func (e *Engine) up(i int) {
+	h := e.h
+	ev := h[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = ev
+}
+
+// down restores the heap order from node i towards the leaves.
+func (e *Engine) down(i int) {
+	h := e.h
+	n := len(h)
+	ev := h[i]
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(&h[c]) {
+			c = r
+		}
+		if !h[c].before(&ev) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = ev
+}
